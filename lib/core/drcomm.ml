@@ -69,6 +69,23 @@ type channel = {
 
 type channel_id = channel
 
+(* Each service's filler for the slots of [live] and of the candidate
+   buffer that hold no channel, so a terminated channel is never kept
+   reachable from them.  Never live, so never mutated. *)
+let vacant_channel () =
+  {
+    id = -1;
+    src = -1;
+    dst = -1;
+    qos = Qos.single_value 1;
+    primary = [];
+    primary_edges = [];
+    backups = [];
+    level = 0;
+    slot = -1;
+    mark = 0;
+  }
+
 module Channel_id = struct
   type t = channel
 
@@ -98,6 +115,11 @@ type t = {
   mutable dirty_links : int array;
   mutable dirty_n : int;
   dirty_mark : Bytes.t;
+  (* Water-filling: the grow-only candidate buffer a flush hands the
+     policy, and the policy's view of this service. *)
+  mutable cands : channel array;
+  env : channel Policy.env;
+  vacant : channel; (* fills unused slots of [live] and [cands] *)
   (* Redistribution time accounting for request tracing: when armed,
      every non-empty water-filling flush adds its wall time here, so a
      caller can difference the accumulator around an operation and
@@ -124,43 +146,6 @@ type t = {
   h_churn : Heavy.sketch;
   h_reject : Heavy.sketch;
 }
-
-let create ?(config = Config.default) ?obs net =
-  let obs = match obs with Some o -> o | None -> Obs.default () in
-  {
-    net;
-    cfg = config;
-    by_id = Hashtbl.create 256;
-    live = [||];
-    n_live = 0;
-    next_id = 0;
-    dropped = 0;
-    auto_redistribute = true;
-    mark_gen = 0;
-    total_res = 0;
-    hist = Array.make 8 0;
-    elastic_on_link = Array.make (max 1 (Net_state.link_count net)) 0;
-    dirty_links = [||];
-    dirty_n = 0;
-    dirty_mark = Bytes.make (max 1 (Net_state.link_count net)) '\000';
-    time_redist = false;
-    redist_acc = 0.;
-    obs;
-    m_admits = Obs.counter obs "drcomm.admits";
-    m_rejects = Obs.counter obs "drcomm.rejects";
-    m_terminations = Obs.counter obs "drcomm.terminations";
-    m_upgrades = Obs.counter obs "drcomm.elastic_upgrades";
-    m_retreats = Obs.counter obs "drcomm.elastic_retreats";
-    m_link_failures = Obs.counter obs "drcomm.link_failures";
-    m_link_repairs = Obs.counter obs "drcomm.link_repairs";
-    m_backup_activations = Obs.counter obs "drcomm.backup_activations";
-    m_backup_losses = Obs.counter obs "drcomm.backup_losses";
-    m_drops = Obs.counter obs "drcomm.drops";
-    m_restores = Obs.counter obs "drcomm.restores";
-    live_hwm = Metrics.hwm (Obs.metrics obs) "drcomm.live_hwm";
-    h_churn = Heavy.standalone ~enabled:(Heavy.enabled (Obs.heavy obs)) ();
-    h_reject = Obs.heavy_sketch obs "drcomm.reject_endpoints";
-  }
 
 let set_auto_redistribute t flag = t.auto_redistribute <- flag
 let auto_redistribute t = t.auto_redistribute
@@ -215,6 +200,12 @@ let next_mark t =
   t.mark_gen <- t.mark_gen + 1;
   t.mark_gen
 
+(* A grow-only buffer's replacement when its [n] slots are full. *)
+let grown a n fill =
+  let bigger = Array.make (max 64 (2 * n)) fill in
+  Array.blit a 0 bigger 0 n;
+  bigger
+
 let ensure_hist t lvl =
   if lvl >= Array.length t.hist then begin
     let bigger = Array.make (max (lvl + 1) (2 * Array.length t.hist)) 0 in
@@ -237,11 +228,7 @@ let bump_elastic t ch delta =
       ch.primary
 
 let add_live t ch =
-  if t.n_live = Array.length t.live then begin
-    let bigger = Array.make (max 64 (2 * t.n_live)) ch in
-    Array.blit t.live 0 bigger 0 t.n_live;
-    t.live <- bigger
-  end;
+  if t.n_live = Array.length t.live then t.live <- grown t.live t.n_live t.vacant;
   ch.slot <- t.n_live;
   t.live.(t.n_live) <- ch;
   t.n_live <- t.n_live + 1;
@@ -257,7 +244,7 @@ let remove_live t ch =
     t.live.(slot) <- t.live.(last);
     t.live.(slot).slot <- slot
   end;
-  t.live.(last) <- t.live.(last); (* slot [last] keeps a stale ref; n_live guards it *)
+  t.live.(last) <- t.vacant;
   t.n_live <- last;
   ch.slot <- -1;
   Hashtbl.remove t.by_id ch.id;
@@ -318,29 +305,79 @@ let hot_span t name f = if Obs.profiling t.obs then Obs.span t.obs name f else f
 let add_dirty t dl =
   if Bytes.get t.dirty_mark dl = '\000' then begin
     Bytes.set t.dirty_mark dl '\001';
-    if t.dirty_n = Array.length t.dirty_links then begin
-      let bigger = Array.make (max 64 (2 * t.dirty_n)) 0 in
-      Array.blit t.dirty_links 0 bigger 0 t.dirty_n;
-      t.dirty_links <- bigger
-    end;
+    if t.dirty_n = Array.length t.dirty_links then
+      t.dirty_links <- grown t.dirty_links t.dirty_n 0;
     t.dirty_links.(t.dirty_n) <- dl;
     t.dirty_n <- t.dirty_n + 1
   end
 
 let add_dirty_path t links = List.iter (add_dirty t) links
 
+let rec fits net increment = function
+  | [] -> true
+  | dl :: rest ->
+    Link_state.spare (Net_state.link net dl) >= increment && fits net increment rest
+
 (* A channel can take one more increment iff it is elastic, below its
    ceiling, and every link of its primary path has that much spare
    (extras may borrow inactive backup pool, see Link_state). *)
 let can_upgrade t ch =
-  ch.level < Qos.levels ch.qos - 1
-  && List.for_all
-       (fun dl -> Link_state.spare (Net_state.link t.net dl) >= ch.qos.Qos.increment)
-       ch.primary
+  ch.level < Qos.levels ch.qos - 1 && fits t.net ch.qos.Qos.increment ch.primary
 
 let grant_increment t ch = set_level t ch (ch.level + 1)
 
 let claim ch = { Policy.utility = ch.qos.Qos.utility; extras_granted = ch.level }
+
+(* Defined after the water-filling helpers: the policy environment it
+   builds once closes over the service itself. *)
+let create ?(config = Config.default) ?obs net =
+  let obs = match obs with Some o -> o | None -> Obs.default () in
+  let rec t =
+    {
+      net;
+      cfg = config;
+      by_id = Hashtbl.create 256;
+      live = [||];
+      n_live = 0;
+      next_id = 0;
+      dropped = 0;
+      auto_redistribute = true;
+      mark_gen = 0;
+      total_res = 0;
+      hist = Array.make 8 0;
+      elastic_on_link = Array.make (max 1 (Net_state.link_count net)) 0;
+      dirty_links = [||];
+      dirty_n = 0;
+      dirty_mark = Bytes.make (max 1 (Net_state.link_count net)) '\000';
+      cands = [||];
+      env =
+        {
+          Policy.claim;
+          can_upgrade = (fun ch -> can_upgrade t ch);
+          grant = (fun ch -> grant_increment t ch);
+          tie = (fun a b -> Int.compare a.id b.id);
+        };
+      vacant = vacant_channel ();
+      time_redist = false;
+      redist_acc = 0.;
+      obs;
+      m_admits = Obs.counter obs "drcomm.admits";
+      m_rejects = Obs.counter obs "drcomm.rejects";
+      m_terminations = Obs.counter obs "drcomm.terminations";
+      m_upgrades = Obs.counter obs "drcomm.elastic_upgrades";
+      m_retreats = Obs.counter obs "drcomm.elastic_retreats";
+      m_link_failures = Obs.counter obs "drcomm.link_failures";
+      m_link_repairs = Obs.counter obs "drcomm.link_repairs";
+      m_backup_activations = Obs.counter obs "drcomm.backup_activations";
+      m_backup_losses = Obs.counter obs "drcomm.backup_losses";
+      m_drops = Obs.counter obs "drcomm.drops";
+      m_restores = Obs.counter obs "drcomm.restores";
+      live_hwm = Metrics.hwm (Obs.metrics obs) "drcomm.live_hwm";
+      h_churn = Heavy.standalone ~enabled:(Heavy.enabled (Obs.heavy obs)) ();
+      h_reject = Obs.heavy_sketch obs "drcomm.reject_endpoints";
+    }
+  in
+  t
 
 (* Water-fill the channels touching the accumulated dirty links; the
    policy value owns the grant loop (see {!Policy}).  Links carrying no
@@ -355,7 +392,7 @@ let redistribute_flush t =
     @@ fun () ->
     hot_span t "drcomm.redistribute" @@ fun () ->
     let gen = next_mark t in
-    let candidates = ref [] in
+    let n = ref 0 in
     for i = 0 to t.dirty_n - 1 do
       let dl = t.dirty_links.(i) in
       Bytes.set t.dirty_mark dl '\000';
@@ -365,23 +402,17 @@ let redistribute_flush t =
             let ch = resolve t id in
             if ch.mark <> gen then begin
               ch.mark <- gen;
-              if Qos.is_elastic ch.qos then candidates := ch :: !candidates
+              if Qos.is_elastic ch.qos then begin
+                if !n = Array.length t.cands then t.cands <- grown t.cands !n t.vacant;
+                t.cands.(!n) <- ch;
+                incr n
+              end
             end)
           (Net_state.link t.net dl)
     done;
     t.dirty_n <- 0;
-    match !candidates with
-    | [] -> ()
-    | candidates ->
-      let env =
-        {
-          Policy.claim;
-          can_upgrade = (fun ch -> can_upgrade t ch);
-          grant = (fun ch -> grant_increment t ch);
-          tie = (fun a b -> compare a.id b.id);
-        }
-      in
-      t.cfg.Config.policy.Policy.run env candidates
+    t.cfg.Config.policy.Policy.run t.env t.cands !n;
+    Array.fill t.cands 0 !n t.vacant
   end
 
 let redistribute_pending t = redistribute_flush t

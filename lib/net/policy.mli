@@ -21,7 +21,15 @@ type claim = { utility : float; extras_granted : int }
     candidate's claim, whether one more increment fits on its whole
     path, how to grant it, and the deterministic last-resort tie-break
     (the service compares channel ids).  The element type stays abstract
-    to the policy — it never inspects channels directly. *)
+    to the policy — it never inspects channels directly.
+
+    Within one [run] the environment must keep three promises:
+    - [can_upgrade] is monotone: once false for a candidate it stays
+      false.  Grants only raise link reservations, so spare only falls
+      and a candidate that did not fit never fits again;
+    - [grant c] changes only [c]'s claim;
+    - [tie] is a total order on the candidates: it returns 0 only for a
+      candidate compared with itself. *)
 type 'a env = {
   claim : 'a -> claim;
   can_upgrade : 'a -> bool;
@@ -34,10 +42,12 @@ type t = {
   order : claim -> claim -> int;
       (** total preorder: negative when the first claim deserves the
           next increment more. *)
-  run : 'a. 'a env -> 'a list -> unit;
-      (** water-fill the candidates to a fixed point: afterwards no
-          candidate may have [can_upgrade] true.  Must terminate —
-          every grant consumes one increment of finite link capacity. *)
+  run : 'a. 'a env -> 'a array -> int -> unit;
+      (** [run env a n] water-fills the candidates [a.(0) .. a.(n-1)] to
+          a fixed point: afterwards none of them may have [can_upgrade]
+          true.  It may permute and overwrite those [n] slots and leaves
+          the rest of [a] alone.  Must terminate — every grant consumes
+          one increment of finite link capacity. *)
 }
 
 val make :
@@ -45,17 +55,24 @@ val make :
   order:(claim -> claim -> int) ->
   style:[ `Rounds | `Exact | `Drain ] ->
   t
-(** Build a policy from an ordering and a grant discipline:
+(** Build a policy from an ordering and a grant discipline.  Ties under
+    [order] break via the environment's [tie]; the styles rest on the
+    monotone [can_upgrade] of {!env}, so a candidate that fails once is
+    dropped for good.  Each style first drops the candidates that do not
+    fit at the start; then, for [G] grants over the [k] that remain:
 
-    - [`Rounds]: each round sorts all candidates by [order] and grants
-      one increment to every candidate that fits, repeating while any
-      grant landed;
-    - [`Exact]: each step re-sorts the still-eligible candidates and
-      grants exactly the best one;
+    - [`Rounds]: each round grants one increment to every candidate that
+      fits, in [order], repeating while any grant landed.  Sorts once
+      ([O(k log k)]); each round costs [O(survivors)]: it compacts the
+      survivors in place and checks that they are still in order,
+      re-sorting only if not.  An order invariant under +1 extra (such
+      as {!equal_share}'s) never re-sorts: every survivor gained exactly
+      one increment.  An order such as extras per utility can reorder
+      survivors, and pays a re-sort in those rounds;
+    - [`Exact]: each step grants exactly the best candidate that fits.
+      A binary heap keyed by [(order, tie)]: [O((k + G) log k)];
     - [`Drain]: sort once, then drain each candidate to its ceiling
-      before the next sees anything.
-
-    Ties under [order] break via the environment's [tie]. *)
+      before the next sees anything: [O(k log k + G)]. *)
 
 val equal_share : t
 (** ["equal-share"], [`Rounds] by fewest extras granted: round-robin by

@@ -39,6 +39,19 @@ diff "$tmpdir/verify-bench-j1/fig2.dat" "$tmpdir/verify-bench-j2/fig2.dat" || {
   exit 1
 }
 
+step "byte identity: quick fig2, fig3 and ablations match bench/baselines/quick"
+# The quick experiment outputs are deterministic, so a change meant to
+# preserve behaviour must reproduce the committed .dat files exactly.
+# fig2.dat comes from the smoke run above.
+dune exec bench/main.exe -- fig3 --quick --out "$tmpdir" >/dev/null
+dune exec bench/main.exe -- ablations --quick --out "$tmpdir" >/dev/null
+for base in bench/baselines/quick/*.dat; do
+  cmp "$base" "$tmpdir/$(basename "$base")" || {
+    echo "FAIL: quick $(basename "$base") differs from $base" >&2
+    exit 1
+  }
+done
+
 step "telemetry determinism: heartbeat stream byte-identical across --jobs"
 # Snapshot contents are purely sim-derived (event-time ticks, zero-
 # suppressed counter deltas, per-run churn sketches), so the
@@ -100,14 +113,17 @@ if dune exec bin/drqos_lint.exe -- --rules R7,R8,R9 --lib-prefix test/ \
   exit 1
 fi
 
-step "fuzz: 2000 ops per topology family, fixed seed"
+step "fuzz: 2000 ops per topology family and policy, fixed seed"
 # The full invariant suite (link accounting, failed-edge unroutability,
-# single-failure safety, counter prediction) is audited after every op;
-# any violation prints a shrunk reproducer and fails the gate.
-dune exec bin/drqos_cli.exe -- fuzz --seed 1 --ops 2000 || {
-  echo "FAIL: fuzzer found an invariant violation (reproducer above)" >&2
-  exit 1
-}
+# single-failure safety, counter prediction, water-filling completeness)
+# is audited after every op; any violation prints a shrunk reproducer
+# and fails the gate.  Each built-in policy has its own grant style.
+for policy in equal-share proportional max-utility; do
+  dune exec bin/drqos_cli.exe -- fuzz --seed 1 --ops 2000 --policy "$policy" || {
+    echo "FAIL: fuzzer found an invariant violation under $policy (reproducer above)" >&2
+    exit 1
+  }
+done
 
 step "CLI smoke: trace + metrics (profiled)"
 dune exec bin/drqos_cli.exe -- run --offered 100 --churn 100 --warmup 20 \

@@ -34,8 +34,8 @@ let test_op_rejects_garbage () =
    invariant suite (including predicted counters) audited after each
    one.  This is the regression net for the four bugs this fuzzer
    originally flushed out of Drcomm. *)
-let quick_fuzz family () =
-  let cfg = Fuzz.config ~family ~seed:1 ~ops:400 () in
+let quick_fuzz ?policy family () =
+  let cfg = Fuzz.config ~family ~seed:1 ~ops:400 ?policy () in
   match Fuzz.run cfg with
   | Ok stats ->
     Alcotest.(check int) "all ops ran" 400 stats.Fuzz.ops_run;
@@ -218,6 +218,16 @@ let () =
           Alcotest.test_case "waxman quick" `Quick (quick_fuzz Fuzz.Waxman);
           Alcotest.test_case "torus quick" `Quick (quick_fuzz Fuzz.Torus);
           Alcotest.test_case "transit-stub quick" `Quick (quick_fuzz Fuzz.Transit_stub);
+          (* The other built-in policies, run clean: a grant style that
+             stops short of the fixed point fails the audit. *)
+          Alcotest.test_case "waxman quick proportional" `Quick
+            (quick_fuzz ~policy:Policy.proportional Fuzz.Waxman);
+          Alcotest.test_case "torus quick proportional" `Quick
+            (quick_fuzz ~policy:Policy.proportional Fuzz.Torus);
+          Alcotest.test_case "waxman quick max-utility" `Quick
+            (quick_fuzz ~policy:Policy.max_utility Fuzz.Waxman);
+          Alcotest.test_case "torus quick max-utility" `Quick
+            (quick_fuzz ~policy:Policy.max_utility Fuzz.Torus);
           Alcotest.test_case "deterministic" `Quick test_fuzz_deterministic;
         ] );
       ( "shrinking",

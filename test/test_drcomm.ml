@@ -113,6 +113,24 @@ let test_terminate_dead_handle_raises () =
   Alcotest.check_raises "dead handle" Not_found (fun () ->
       ignore (Drcomm.terminate t id))
 
+(* Once terminated and dropped by the caller, a channel record (with its
+   path and backup lists) must be garbage: neither the vacated tail of the
+   live set nor the water-filling candidate buffer may keep it. *)
+let test_terminated_channel_collectable () =
+  let t, _, _ = ring () in
+  let weak = Weak.create 1 in
+  (* The admission's flush leaves the channel in the candidate buffer,
+     and the termination's flush finds no candidate to overwrite it. *)
+  let admit_then_terminate () =
+    let id, _ = admit_ok t ~src:0 ~dst:1 ~qos:qos5 in
+    Weak.set weak 0 (Some id);
+    ignore (Drcomm.terminate t id)
+  in
+  admit_then_terminate ();
+  Gc.full_major ();
+  Alcotest.(check bool) "terminated channel collected" true (Weak.get weak 0 = None);
+  Drcomm.check_invariants t
+
 let test_admit_validation () =
   let t, _, _ = ring () in
   Alcotest.check_raises "src = dst" (Invalid_argument "Drcomm.admit: src = dst")
@@ -916,6 +934,8 @@ let () =
             test_termination_releases_and_upgrades;
           Alcotest.test_case "terminate dead handle" `Quick
             test_terminate_dead_handle_raises;
+          Alcotest.test_case "terminated channel collectable" `Quick
+            test_terminated_channel_collectable;
           Alcotest.test_case "indirect classified" `Quick test_indirect_chaining_classified;
           Alcotest.test_case "indirect gains" `Quick test_indirect_channel_gains;
           Alcotest.test_case "equal share fair" `Quick test_equal_share_fairness;

@@ -469,6 +469,181 @@ let test_policy_first_class () =
     (Drcomm.reserved_bandwidth t a >= 100 && Drcomm.reserved_bandwidth t b >= 100);
   Drcomm.check_invariants t
 
+(* --- Policy grant styles against the naive reference --- *)
+
+(* The reference spec: the grant styles as first written — re-sort every
+   candidate each round, re-filter and re-sort before every exact grant —
+   with no reliance on [can_upgrade] being monotone.  [reordered] records
+   whether some [`Rounds] round ranked the candidates differently from
+   the round before. *)
+module Reference = struct
+  let by order env a b =
+    match order (env.Policy.claim a) (env.Policy.claim b) with
+    | 0 -> env.Policy.tie a b
+    | c -> c
+
+  let reordered = ref false
+
+  let run_rounds order env candidates =
+    let progress = ref true and previous = ref None in
+    while !progress do
+      progress := false;
+      let ordered = List.sort (by order env) candidates in
+      if !previous <> None && !previous <> Some ordered then reordered := true;
+      previous := Some ordered;
+      List.iter
+        (fun ch ->
+          if env.Policy.can_upgrade ch then begin
+            env.Policy.grant ch;
+            progress := true
+          end)
+        ordered
+    done
+
+  let run_exact order env candidates =
+    let continue = ref true in
+    while !continue do
+      let eligible = List.filter env.Policy.can_upgrade candidates in
+      match List.sort (by order env) eligible with
+      | [] -> continue := false
+      | best :: _ -> env.Policy.grant best
+    done
+
+  let run_drain order env candidates =
+    let ordered = List.sort (by order env) candidates in
+    List.iter
+      (fun ch ->
+        while env.Policy.can_upgrade ch do
+          env.Policy.grant ch
+        done)
+      ordered
+
+  let run style order =
+    match style with
+    | `Rounds -> run_rounds order
+    | `Exact -> run_exact order
+    | `Drain -> run_drain order
+end
+
+(* A monotone [can_upgrade] fixture: candidates draw on shared capacity
+   pools and stop at their own ceilings, so grants only shrink what is
+   left, as link spare does in a flush. *)
+type cand = {
+  cid : int;
+  utility : float;
+  mutable extras : int;
+  ceiling : int;
+  increment : int;
+  pools : int list;
+}
+
+let random_instance seed =
+  let rng = Random.State.make [| seed |] in
+  let n_pools = 1 + Random.State.int rng 6 in
+  let pools = Array.init n_pools (fun _ -> Random.State.int rng 40) in
+  let n = Random.State.int rng 40 in
+  let ids = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- x
+  done;
+  let cands =
+    Array.map
+      (fun cid ->
+        let ceiling = Random.State.int rng 7 in
+        {
+          cid;
+          utility = [| 0.5; 1.; 2.; 3. |].(Random.State.int rng 4);
+          extras = Random.State.int rng (ceiling + 1);
+          ceiling;
+          increment = 1 + Random.State.int rng 3;
+          pools =
+            List.filter (fun _ -> Random.State.int rng 3 = 0) (List.init n_pools Fun.id);
+        })
+      ids
+  in
+  (pools, cands)
+
+(* Water-fill a fresh copy of instance [seed]; the grants in order. *)
+let grant_log seed run =
+  let pools, cands = random_instance seed in
+  let log = ref [] in
+  let live c =
+    if c.cid < 0 then Alcotest.fail "policy touched a slot past the candidates";
+    c
+  in
+  let env =
+    {
+      Policy.claim =
+        (fun c -> { Policy.utility = (live c).utility; extras_granted = c.extras });
+      can_upgrade =
+        (fun c ->
+          (live c).extras < c.ceiling
+          && List.for_all (fun p -> pools.(p) >= c.increment) c.pools);
+      grant =
+        (fun c ->
+          c.extras <- c.extras + 1;
+          List.iter (fun p -> pools.(p) <- pools.(p) - c.increment) c.pools;
+          log := c.cid :: !log);
+      tie = (fun a b -> Int.compare a.cid b.cid);
+    }
+  in
+  run env cands;
+  List.rev !log
+
+let extras_per_utility a b =
+  Float.compare
+    (float_of_int a.Policy.extras_granted /. a.Policy.utility)
+    (float_of_int b.Policy.extras_granted /. b.Policy.utility)
+
+let test_policy_matches_reference () =
+  let poison =
+    { cid = -1; utility = 1.; extras = 0; ceiling = 0; increment = 1; pools = [] }
+  in
+  let styles =
+    [
+      (Policy.equal_share, `Rounds);
+      (Policy.proportional, `Exact);
+      (Policy.max_utility, `Drain);
+      (Policy.make ~name:"extras-per-utility" ~order:extras_per_utility ~style:`Rounds, `Rounds);
+      ( Policy.make ~name:"greedy-rich"
+          ~order:(fun a b -> compare b.Policy.extras_granted a.Policy.extras_granted)
+          ~style:`Rounds,
+        `Rounds );
+      ( Policy.make ~name:"halves"
+          ~order:(fun a b ->
+            compare (a.Policy.extras_granted / 2) (b.Policy.extras_granted / 2))
+          ~style:`Exact,
+        `Exact );
+    ]
+  in
+  List.iter
+    (fun (policy, style) ->
+      Reference.reordered := false;
+      let grants = ref 0 in
+      for seed = 1 to 300 do
+        let expected =
+          grant_log seed (fun env cands ->
+              Reference.run style (Policy.compare_claims policy) env (Array.to_list cands))
+        in
+        let got =
+          grant_log seed (fun env cands ->
+              let n = Array.length cands in
+              let a = Array.append cands [| poison; poison |] in
+              policy.Policy.run env a n)
+        in
+        grants := !grants + List.length got;
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s, seed %d" (Policy.name policy) seed)
+          expected got
+      done;
+      Alcotest.(check bool) (Policy.name policy ^ " grants") true (!grants > 1000);
+      if Policy.name policy = "extras-per-utility" then
+        Alcotest.(check bool) "survivors reordered" true !Reference.reordered)
+    styles
+
 (* --- Interval QoS --- *)
 
 let test_interval_spec_validation () =
@@ -675,6 +850,8 @@ let () =
           Alcotest.test_case "max utility" `Quick test_policy_max_utility;
           Alcotest.test_case "string roundtrip" `Quick test_policy_strings;
           Alcotest.test_case "first-class policy" `Quick test_policy_first_class;
+          Alcotest.test_case "grant styles match the reference" `Quick
+            test_policy_matches_reference;
         ] );
       ( "interval-qos",
         [
