@@ -175,6 +175,17 @@ let backup_pool_with t ~b_min ~primary_edges =
         max acc (existing + b_min))
       current primary_edges
 
+(* Sign-only form of the backup admission test
+   [primary_min_total + backup_pool_with <= capacity].  Every per-edge
+   demand is at most the (fresh) pool, so the new pool lies in
+   [pool, pool + b_min] (exactly [pool + b_min] without multiplexing);
+   only a link between those two bounds needs the per-edge probes. *)
+let backup_admits t ~b_min ~primary_edges =
+  let base = t.primary_min_total + backup_pool t in
+  if base + b_min <= t.capacity then true
+  else if base > t.capacity then false
+  else t.primary_min_total + backup_pool_with t ~b_min ~primary_edges <= t.capacity
+
 let register_backup t ~channel ~b_min ~primary_edges =
   if b_min <= 0 then invalid_arg "Link_state.register_backup: non-positive b_min";
   if primary_edges = [] then

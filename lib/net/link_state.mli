@@ -86,6 +86,12 @@ val backup_pool_with : t -> b_min:Bandwidth.t -> primary_edges:int list -> Bandw
     this is often just the current pool (free dependability — the paper's
     key resource saving). *)
 
+val backup_admits : t -> b_min:Bandwidth.t -> primary_edges:int list -> bool
+(** [primary_min_total + backup_pool_with ~b_min ~primary_edges <= capacity],
+    decided from the pool bounds alone whenever they settle it: the
+    per-edge demand index is probed only when the current pool fits but
+    the pool plus [b_min] does not. *)
+
 val unregister_backup : t -> channel:int -> unit
 val has_backup : t -> channel:int -> bool
 val backup_channels : t -> int list

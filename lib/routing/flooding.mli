@@ -11,7 +11,14 @@
 
     We model the {e outcome} of this protocol exactly (which route wins)
     rather than simulating individual request packets; the message-count
-    cost model of flooding is exposed separately for the overhead bench. *)
+    cost model of flooding is exposed separately for the overhead bench.
+
+    Searches allocate no per-search arrays: each domain keeps one set of
+    node- and edge-indexed scratch buffers ([Domain.DLS]), grown to the
+    largest graph searched and reset by each search, so searches in
+    different domains are independent.  The admission tests a search
+    runs must therefore not start another search in the same domain;
+    the ones here only read {!Link_state}. *)
 
 type request = {
   src : int;
@@ -40,7 +47,9 @@ val backup_route :
     (minimises shared edges, as the paper allows when no disjoint path
     exists).  [banned_edges] are excluded outright — used to keep
     multiple backups of one connection mutually disjoint.  [None] if
-    even that fails. *)
+    even that fails.  The maximally-disjoint fallback decides each edge
+    once per search, from {!Link_state.backup_admits} in both
+    directions. *)
 
 val message_count : Graph.t -> request -> int
 (** Number of request-copy transmissions bounded flooding would send:

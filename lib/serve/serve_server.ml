@@ -306,15 +306,22 @@ let run ?config ?(wall_every = 1.0) ?backlog ?slo ?trace_file ?slow_dir
     {
       Trace.emit =
         (fun time ev ->
-          let line = Jsonx.to_string (Trace.to_json ~time ev) in
-          (match trace_oc with
-          | Some oc ->
-            output_string oc line;
-            output_char oc '\n'
-          | None -> ());
-          match !t_ref with
-          | None -> ()
-          | Some t -> broadcast t (fun c -> c.want_trace) line);
+          (* Format only for a reader: with no trace file and no trace
+             subscriber the event is dropped unrendered. *)
+          let subscribers =
+            match !t_ref with
+            | Some t when List.exists (fun c -> c.want_trace) t.conns -> Some t
+            | _ -> None
+          in
+          if trace_oc <> None || subscribers <> None then begin
+            let line = Jsonx.to_string (Trace.to_json ~time ev) in
+            Option.iter
+              (fun oc ->
+                output_string oc line;
+                output_char oc '\n')
+              trace_oc;
+            Option.iter (fun t -> broadcast t (fun c -> c.want_trace) line) subscribers
+          end);
       close = (fun () -> Option.iter close_out trace_oc);
     }
   in

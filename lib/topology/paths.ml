@@ -23,12 +23,12 @@ let is_valid g p =
 
 let all_usable _ = true
 
-(* BFS recording, for each reached node, the (parent, edge) it was reached
-   through; shared by [hops_from] and [shortest_path]. *)
+(* BFS recording, for each reached node, the parent and edge it was
+   reached through; shared by [hops_from] and [shortest_path]. *)
 let bfs ?(usable = all_usable) g src =
   let n = Graph.node_count g in
   let dist = Array.make n (-1) in
-  let via = Array.make n (-1, -1) in
+  let via_node = Array.make n (-1) and via_edge = Array.make n (-1) in
   dist.(src) <- 0;
   let q = Queue.create () in
   Queue.push src q;
@@ -38,87 +38,121 @@ let bfs ?(usable = all_usable) g src =
       (fun (v, e) ->
         if usable e && dist.(v) < 0 then begin
           dist.(v) <- dist.(u) + 1;
-          via.(v) <- (u, e);
+          via_node.(v) <- u;
+          via_edge.(v) <- e;
           Queue.push v q
         end)
       (Graph.neighbors g u)
   done;
-  (dist, via)
+  (dist, via_node, via_edge)
 
 let hops_from ?usable g src =
-  let dist, _ = bfs ?usable g src in
+  let dist, _, _ = bfs ?usable g src in
   dist
 
-let rebuild_path via src dst =
+let rebuild_path ~via_node ~via_edge src dst =
   let rec walk v nodes edges =
     if v = src then { nodes = src :: nodes; edges }
-    else
-      let u, e = via.(v) in
-      walk u (v :: nodes) (e :: edges)
+    else walk via_node.(v) (v :: nodes) (via_edge.(v) :: edges)
   in
   walk dst [] []
 
 let shortest_path ?usable g src dst =
-  let dist, via = bfs ?usable g src in
-  if dist.(dst) < 0 then None else Some (rebuild_path via src dst)
+  let dist, via_node, via_edge = bfs ?usable g src in
+  if dist.(dst) < 0 then None else Some (rebuild_path ~via_node ~via_edge src dst)
 
-(* A tiny mutable binary min-heap over (key, node); enough for Dijkstra on
-   graphs of a few hundred nodes. *)
-module Heap = struct
-  type t = { mutable size : int; mutable arr : (float * int) array }
+(* Dijkstra's buffers: the per-node labels and a binary min-heap over
+   (key, node) kept as two parallel arrays, so a search stores no boxed
+   pair.  They grow to the largest graph searched and are reset at the
+   start of each search, so reusing one across searches changes
+   nothing but the allocation. *)
+type scratch = {
+  mutable dist : float array;
+  mutable via_node : int array;
+  mutable via_edge : int array;
+  mutable settled : bool array;
+  mutable keys : float array;
+  mutable heap_nodes : int array;
+  mutable size : int;
+}
 
-  let create () = { size = 0; arr = Array.make 64 (0., -1) }
-  let is_empty h = h.size = 0
+let scratch () =
+  {
+    dist = [||];
+    via_node = [||];
+    via_edge = [||];
+    settled = [||];
+    keys = Array.make 64 0.;
+    heap_nodes = Array.make 64 (-1);
+    size = 0;
+  }
 
-  let swap h i j =
-    let tmp = h.arr.(i) in
-    h.arr.(i) <- h.arr.(j);
-    h.arr.(j) <- tmp
+(* Sifts move a hole instead of swapping pairs; every comparison is the
+   one a swapping sift would make, so the arrangement is the same. *)
+let heap_push s key v =
+  if s.size = Array.length s.keys then begin
+    let keys = Array.make (2 * s.size) 0. and nodes = Array.make (2 * s.size) (-1) in
+    Array.blit s.keys 0 keys 0 s.size;
+    Array.blit s.heap_nodes 0 nodes 0 s.size;
+    s.keys <- keys;
+    s.heap_nodes <- nodes
+  end;
+  let keys = s.keys and nodes = s.heap_nodes in
+  let i = ref s.size in
+  s.size <- s.size + 1;
+  while !i > 0 && keys.((!i - 1) / 2) > key do
+    let parent = (!i - 1) / 2 in
+    keys.(!i) <- keys.(parent);
+    nodes.(!i) <- nodes.(parent);
+    i := parent
+  done;
+  keys.(!i) <- key;
+  nodes.(!i) <- v
 
-  let push h key v =
-    if h.size = Array.length h.arr then begin
-      let bigger = Array.make (2 * h.size) (0., -1) in
-      Array.blit h.arr 0 bigger 0 h.size;
-      h.arr <- bigger
-    end;
-    h.arr.(h.size) <- (key, v);
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    while !i > 0 && fst h.arr.((!i - 1) / 2) > fst h.arr.(!i) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
+(* Drop the minimum; the caller reads it from slot 0 first.  The last
+   entry sinks from the root. *)
+let heap_pop s =
+  let keys = s.keys and nodes = s.heap_nodes in
+  let size = s.size - 1 in
+  s.size <- size;
+  let key = keys.(size) and v = nodes.(size) in
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let c = if l < size && keys.(l) < key then l else !i in
+    let c = if r < size && keys.(r) < (if c = !i then key else keys.(c)) then r else c in
+    if c = !i then continue := false
+    else begin
+      keys.(!i) <- keys.(c);
+      nodes.(!i) <- nodes.(c);
+      i := c
+    end
+  done;
+  keys.(!i) <- key;
+  nodes.(!i) <- v
 
-  let pop h =
-    let top = h.arr.(0) in
-    h.size <- h.size - 1;
-    h.arr.(0) <- h.arr.(h.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.size && fst h.arr.(l) < fst h.arr.(!smallest) then smallest := l;
-      if r < h.size && fst h.arr.(r) < fst h.arr.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        swap h !i !smallest;
-        i := !smallest
-      end
-    done;
-    top
-end
-
-let dijkstra ~weight ?(usable = all_usable) g src dst =
+let dijkstra ?(scratch = scratch ()) ~weight ?(usable = all_usable) g src dst =
+  let s = scratch in
   let n = Graph.node_count g in
-  let dist = Array.make n infinity in
-  let via = Array.make n (-1, -1) in
-  let settled = Array.make n false in
-  let heap = Heap.create () in
+  if Array.length s.dist < n then begin
+    s.dist <- Array.make n infinity;
+    s.via_node <- Array.make n (-1);
+    s.via_edge <- Array.make n (-1);
+    s.settled <- Array.make n false
+  end;
+  let dist = s.dist and settled = s.settled in
+  Array.fill dist 0 n infinity;
+  Array.fill settled 0 n false;
+  s.size <- 0;
   dist.(src) <- 0.;
-  Heap.push heap 0. src;
-  while not (Heap.is_empty heap) do
-    let d, u = Heap.pop heap in
+  heap_push s 0. src;
+  (* Once [dst] is settled its distance and its chain of parents are
+     final, so the rest of the graph need not be explored. *)
+  while s.size > 0 && not settled.(dst) do
+    let d = s.keys.(0) and u = s.heap_nodes.(0) in
+    heap_pop s;
     if not settled.(u) && d <= dist.(u) then begin
       settled.(u) <- true;
       List.iter
@@ -129,15 +163,16 @@ let dijkstra ~weight ?(usable = all_usable) g src dst =
             let alt = d +. w in
             if alt < dist.(v) then begin
               dist.(v) <- alt;
-              via.(v) <- (u, e);
-              Heap.push heap alt v
+              s.via_node.(v) <- u;
+              s.via_edge.(v) <- e;
+              heap_push s alt v
             end
           end)
         (Graph.neighbors g u)
     end
   done;
   if Float.equal dist.(dst) infinity then None
-  else Some (rebuild_path via src dst, dist.(dst))
+  else Some (rebuild_path ~via_node:s.via_node ~via_edge:s.via_edge src dst, dist.(dst))
 
 let widest_path ~width g src dst =
   let n = Graph.node_count g in
@@ -147,7 +182,7 @@ let widest_path ~width g src dst =
      both components explicitly. *)
   let bottleneck = Array.make n neg_infinity in
   let hops = Array.make n max_int in
-  let via = Array.make n (-1, -1) in
+  let via_node = Array.make n (-1) and via_edge = Array.make n (-1) in
   let settled = Array.make n false in
   let better v b h = b > bottleneck.(v) || (Float.equal b bottleneck.(v) && h < hops.(v)) in
   bottleneck.(src) <- infinity;
@@ -175,7 +210,8 @@ let widest_path ~width g src dst =
               if better v b h then begin
                 bottleneck.(v) <- b;
                 hops.(v) <- h;
-                via.(v) <- (u, e)
+                via_node.(v) <- u;
+                via_edge.(v) <- e
               end
             end)
           (Graph.neighbors g u);
@@ -185,7 +221,7 @@ let widest_path ~width g src dst =
   in
   pick_next ();
   if Float.equal bottleneck.(dst) neg_infinity then None
-  else Some (rebuild_path via src dst, bottleneck.(dst))
+  else Some (rebuild_path ~via_node ~via_edge src dst, bottleneck.(dst))
 
 let eccentricity g u =
   let dist = hops_from g u in

@@ -24,10 +24,26 @@ val shortest_path : ?usable:(int -> bool) -> Graph.t -> int -> int -> path optio
     [None] when disconnected.  [Some {nodes = [src]; edges = []}] when
     [src = dst]. *)
 
+val rebuild_path : via_node:int array -> via_edge:int array -> int -> int -> path
+(** [rebuild_path ~via_node ~via_edge src dst] walks a search tree back
+    from [dst]: node [v] was reached from [via_node.(v)] over edge
+    [via_edge.(v)].  Every node on the walk must have been reached. *)
+
+type scratch
+(** Reusable buffers for {!dijkstra}, grown to the largest graph searched
+    with them.  Not safe to share between concurrent searches. *)
+
+val scratch : unit -> scratch
+
 val dijkstra :
+  ?scratch:scratch ->
   weight:(int -> float) -> ?usable:(int -> bool) -> Graph.t -> int -> int ->
   (path * float) option
-(** Least-total-weight path; [weight e] must be >= 0 for every edge. *)
+(** Least-total-weight path; [weight e] must be >= 0 for every edge.
+    [scratch] (default: fresh buffers) lets repeated searches reuse one
+    set of n-sized arrays and heap instead of allocating them; the result
+    does not depend on it.  [weight] and [usable] must not search with
+    the same [scratch]. *)
 
 val widest_path :
   width:(int -> float) -> Graph.t -> int -> int -> (path * float) option

@@ -125,6 +125,26 @@ for policy in equal-share proportional max-utility; do
   }
 done
 
+step "allocation gate: traced stub_churn, major words per admission"
+# Route search runs on per-domain scratch buffers, so an admission on
+# the 1056-node transit-stub promotes only the connection's own records
+# to the major heap (~54 words; ~6,900 when each search allocated its
+# n-sized arrays).  The traced run's admission word count is exact on a
+# fresh set-up, so the gate does not depend on the host's speed.
+python3 perfbench/run.py --workload stub_churn --seed 1 --seconds 2 --trace 1 \
+  2>"$tmpdir/stub-churn.log" | tail -n 1 > "$tmpdir/stub-churn.json"
+python3 - "$tmpdir/stub-churn.json" <<'PY' || {
+import json, sys
+doc = json.load(open(sys.argv[1]))
+words = doc["metrics"]["drcomm.admit.major_words_per_op"]["value"]
+print("drcomm.admit.major_words_per_op: %.1f" % words)
+sys.exit(0 if doc["correct"] and words <= 1000 else 1)
+PY
+  echo "FAIL: traced stub_churn incorrect or over 1000 major words per admission" >&2
+  cat "$tmpdir/stub-churn.log" >&2
+  exit 1
+}
+
 step "CLI smoke: trace + metrics (profiled)"
 dune exec bin/drqos_cli.exe -- run --offered 100 --churn 100 --warmup 20 \
   --trace "$tmpdir/t.jsonl" --metrics "$tmpdir/m.json" --profile >/dev/null
