@@ -173,14 +173,15 @@ val admit :
   dst:int ->
   qos:Qos.t ->
   admit_result
-(** Establish a DR-connection.  [src <> dst]; both in range.
-    [~want_indirect:false] (default [true]) skips computing the
-    indirectly-chained set; [~want_report:false] (default [true])
-    additionally skips the directly-chained census — the retreats still
-    happen (through the per-link extras index, visiting only channels
-    that actually hold extras), but the returned report carries empty
-    transition lists.  Use it on the bulk-loading and churn hot paths
-    where the report is discarded. *)
+(** Establish a DR-connection.  [src <> dst]; both in range.  The
+    channels holding extras on the new primary's links retreat to their
+    floors (§3.1), found through the per-link extras index; the report
+    arguments only decide what is recorded about it, never who retreats.
+    [~want_report:false] (default [true]) skips the directly-chained
+    census, so the returned report carries empty transition lists — use
+    it on the bulk-loading and churn hot paths where the report is
+    discarded.  [~want_indirect:false] (default [true]) skips the
+    indirectly-chained set of a report. *)
 
 (** {1 Redistribution control}
 
