@@ -175,48 +175,6 @@ let test_birth_death_validation () =
     (Invalid_argument "Birth_death.stationary: birth/death length mismatch") (fun () ->
       ignore (Birth_death.stationary ~birth:[| 1. |] ~death:[| 1.; 2. |]))
 
-(* --- Erlang --- *)
-
-let test_erlang_one_server () =
-  (* B(1, a) = a / (1 + a). *)
-  Alcotest.check approx "a=1" 0.5 (Erlang.erlang_b ~servers:1 ~offered_load:1.);
-  Alcotest.check approx "a=3" 0.75 (Erlang.erlang_b ~servers:1 ~offered_load:3.)
-
-let test_erlang_known () =
-  (* B(2, 1) = (1/2) / (1 + 1 + 1/2) = 0.2. *)
-  Alcotest.check approx "B(2,1)" 0.2 (Erlang.erlang_b ~servers:2 ~offered_load:1.);
-  Alcotest.check approx "no load" 0. (Erlang.erlang_b ~servers:3 ~offered_load:0.);
-  Alcotest.check approx "no servers" 1. (Erlang.erlang_b ~servers:0 ~offered_load:2.)
-
-let test_erlang_monotone () =
-  let b c = Erlang.erlang_b ~servers:c ~offered_load:8. in
-  Alcotest.(check bool) "more servers, less blocking" true (b 4 > b 8 && b 8 >
-b 16);
-  let load a = Erlang.erlang_b ~servers:8 ~offered_load:a in
-  Alcotest.(check bool) "more load, more blocking" true (load 2. < load 8. && load 8. < load 20.)
-
-let test_erlang_required () =
-  let c = Erlang.required_servers ~offered_load:8. ~target_blocking:0.01 in
-  Alcotest.(check bool) "meets target" true
-    (Erlang.erlang_b ~servers:c ~offered_load:8. <= 0.01);
-  Alcotest.(check bool) "tight" true
-    (Erlang.erlang_b ~servers:(c - 1) ~offered_load:8. > 0.01)
-
-let test_erlang_occupancy_matches_ctmc () =
-  (* M/M/c/c as a birth-death chain: birth a*mu... with mean holding 1,
-     birth rate = a, death rate at level k = k. *)
-  let a = 2.5 and c = 5 in
-  let birth = Array.make c a in
-  let death = Array.init c (fun k -> float_of_int (k + 1)) in
-  let solved = Ctmc.stationary (Birth_death.to_ctmc ~birth ~death) in
-  let closed = Erlang.mmcc_occupancy ~servers:c ~offered_load:a in
-  Array.iteri (fun i p -> Alcotest.check loose "occupancy" p solved.(i)) closed;
-  (* Blocking = P(all busy). *)
-  Alcotest.check loose "B = pi_c" closed.(c) (Erlang.erlang_b ~servers:c ~offered_load:a)
-
-let test_erlang_carried () =
-  Alcotest.check approx "carried" 0.8 (Erlang.carried_load ~servers:2 ~offered_load:1.)
-
 (* --- DTMC --- *)
 
 let test_dtmc_stationary () =
@@ -376,15 +334,6 @@ let () =
           Alcotest.test_case "mm1k light load" `Quick test_mm1k_light_load;
           Alcotest.test_case "mean level" `Quick test_mean_level;
           Alcotest.test_case "validation" `Quick test_birth_death_validation;
-        ] );
-      ( "erlang",
-        [
-          Alcotest.test_case "one server" `Quick test_erlang_one_server;
-          Alcotest.test_case "known values" `Quick test_erlang_known;
-          Alcotest.test_case "monotone" `Quick test_erlang_monotone;
-          Alcotest.test_case "required servers" `Quick test_erlang_required;
-          Alcotest.test_case "occupancy oracle" `Quick test_erlang_occupancy_matches_ctmc;
-          Alcotest.test_case "carried load" `Quick test_erlang_carried;
         ] );
       ( "dtmc",
         [
