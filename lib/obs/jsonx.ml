@@ -21,17 +21,17 @@ let escape buf s =
       | c -> Buffer.add_char buf c)
     s
 
-(* Floats must stay valid JSON: no "nan"/"inf" literals, and a bare
-   integer-looking float keeps a trailing ".0" marker via %.17g's
-   shortest round-trippable form when needed. *)
+(* Floats must stay valid JSON: no "nan"/"inf" literals.  The %.12g form
+   is kept when it reads back as the same float; only a float it does not
+   round-trip is formatted again, with %.17g. *)
 let float_repr x =
   match Float.classify_float x with
   | FP_nan -> "null"
   | FP_infinite -> if x > 0. then "1e999" else "-1e999"
   | _ ->
-    let s = Printf.sprintf "%.17g" x in
     let shorter = Printf.sprintf "%.12g" x in
-    if Float.equal (float_of_string shorter) x then shorter else s
+    if Float.equal (float_of_string shorter) x then shorter
+    else Printf.sprintf "%.17g" x
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
