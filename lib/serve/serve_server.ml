@@ -1,5 +1,9 @@
 type address = [ `Unix of string | `Tcp of string * int ]
 
+(* Requests are a few hundred bytes; a peer holding this much input
+   without a newline is not speaking the protocol. *)
+let max_line_bytes = 1 lsl 20
+
 (* One client connection: partial-line input buffer, the pending output
    queue, and the stream subscriptions this connection asked for. *)
 type conn = {
@@ -242,12 +246,25 @@ let drain_lines t conn =
    with Exit -> ());
   if !start < n then Buffer.add_substring conn.inbuf data !start (n - !start)
 
+(* An unterminated line past [max_line_bytes]: one id-0 error reply,
+   counted as undecodable, then the loop reaps the connection.  The reply
+   is written at once: the loop closes a dead connection's fd without
+   waiting for it to become writable. *)
+let refuse_overlong_line t conn =
+  Metrics.incr t.c_undecodable;
+  Buffer.reset conn.inbuf;
+  let message = Printf.sprintf "request line longer than %d bytes" max_line_bytes in
+  send_json conn (Serve_proto.response_to_json ~id:0 (Serve_proto.Error_reply { message }));
+  try_flush conn;
+  conn.alive <- false
+
 let read_chunk t conn scratch =
   match Unix.read conn.fd scratch 0 (Bytes.length scratch) with
   | 0 -> conn.alive <- false
   | n ->
     Buffer.add_subbytes conn.inbuf scratch 0 n;
-    drain_lines t conn
+    drain_lines t conn;
+    if Buffer.length conn.inbuf > max_line_bytes then refuse_overlong_line t conn
   | exception
       Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     ()

@@ -27,6 +27,11 @@ type address = [ `Unix of string | `Tcp of string * int ]
 (** [`Unix path] is unlinked (if stale) before binding and again on
     shutdown.  [`Tcp (host, port)] binds with [SO_REUSEADDR]. *)
 
+val max_line_bytes : int
+(** The most unterminated input one connection may hold (1 MiB, far
+    above any legal request).  A client past it gets one id-0 error
+    reply, counted in [serve.undecodable], and is disconnected. *)
+
 val run :
   ?config:Drcomm.Config.t ->
   ?wall_every:float ->

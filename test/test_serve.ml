@@ -504,6 +504,61 @@ let test_socket_garbage_line () =
       | _ -> Alcotest.fail "shutdown not acknowledged");
       Serve_client.close c)
 
+(* A client that streams past [max_line_bytes] without a newline gets
+   one id-0 error reply and is disconnected, instead of growing its input
+   buffer without bound; the daemon keeps answering everyone else. *)
+let test_socket_overlong_line_reaped () =
+  with_server (fun path _join ->
+      let c = Serve_client.connect ~retries:50 (`Unix path) in
+      (* Shut the daemon down even when a check fails, so the test
+         cannot hang joining it. *)
+      Fun.protect ~finally:(fun () ->
+          ignore (Serve_client.request c Serve_proto.Shutdown);
+          Serve_client.close c)
+      @@ fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let flood = Bytes.make (Serve_server.max_line_bytes + 1) 'x' in
+      ignore (Unix.write fd flood 0 (Bytes.length flood));
+      (* Everything the daemon sends until EOF, or [None] if it goes
+         quiet for 5 s. *)
+      let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+      let rec read_to_eof () =
+        match Unix.select [ fd ] [] [] 5. with
+        | [], _, _ -> None
+        | _ -> (
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> Some (Buffer.contents buf)
+          | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            read_to_eof ())
+      in
+      (match read_to_eof () with
+      | None -> Alcotest.fail "no reply and no EOF for an overlong line"
+      | Some reply -> (
+        match String.split_on_char '\n' reply with
+        | [ line; "" ] -> (
+          match Serve_proto.response_of_json (Jsonx.of_string line) with
+          | Ok (0, Serve_proto.Error_reply _) -> ()
+          | _ -> Alcotest.failf "expected an id-0 error reply, got %S" line)
+        | _ -> Alcotest.failf "expected one reply line then EOF, got %S" reply));
+      (match Serve_client.request c Serve_proto.Stats with
+      | Serve_proto.Stats_reply _ -> ()
+      | _ -> Alcotest.fail "the other client lost its answers");
+      let counter name =
+        match Serve_client.request c Serve_proto.Metrics with
+        | Serve_proto.Metrics_reply doc ->
+          Option.bind
+            (Option.bind (Jsonx.member "counters" doc) (Jsonx.member name))
+            Jsonx.to_int
+        | _ -> Alcotest.fail "metrics request failed"
+      in
+      Alcotest.(check (option int)) "counted undecodable" (Some 1)
+        (counter "serve.undecodable");
+      Alcotest.(check (option int)) "connection reaped" (Some 1)
+        (counter "serve.reaped"))
+
 (* Regression for the event-loop blocking fix (lint R8): replies and
    broadcasts are queued per connection and written by the select loop,
    so a subscriber that stops reading stalls only itself.  Once its
@@ -756,6 +811,8 @@ let () =
             test_socket_garbage_line;
           Alcotest.test_case "slow subscriber is reaped, others unaffected"
             `Slow test_socket_slow_subscriber_reaped;
+          Alcotest.test_case "overlong line is refused and reaped" `Slow
+            test_socket_overlong_line_reaped;
         ] );
       ( "reqtrace",
         [
