@@ -118,9 +118,19 @@ step "fuzz: 2000 ops per topology family and policy, fixed seed"
 # single-failure safety, counter prediction, water-filling completeness)
 # is audited after every op; any violation prints a shrunk reproducer
 # and fails the gate.  Each built-in policy has its own grant style.
+# The summary (operation counts only, no wall-clock field) is
+# deterministic, so it must also match bench/baselines/quick byte for
+# byte, as the quick .dat files do.
 for policy in equal-share proportional max-utility; do
-  dune exec bin/drqos_cli.exe -- fuzz --seed 1 --ops 2000 --policy "$policy" || {
+  dune exec bin/drqos_cli.exe -- fuzz --seed 1 --ops 2000 --policy "$policy" \
+    > "$tmpdir/fuzz_$policy.txt" || {
+    cat "$tmpdir/fuzz_$policy.txt"
     echo "FAIL: fuzzer found an invariant violation under $policy (reproducer above)" >&2
+    exit 1
+  }
+  cat "$tmpdir/fuzz_$policy.txt"
+  cmp "bench/baselines/quick/fuzz_$policy.txt" "$tmpdir/fuzz_$policy.txt" || {
+    echo "FAIL: fuzz summary under $policy differs from bench/baselines/quick/fuzz_$policy.txt" >&2
     exit 1
   }
 done
